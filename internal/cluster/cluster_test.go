@@ -328,6 +328,22 @@ func BenchmarkLayoutRandom(b *testing.B) {
 	}
 }
 
+// BenchmarkNewLayout builds the serving layout of the refresh path: a
+// 50k-vertex twitter-like graph on 16 machines with random ingress.
+func BenchmarkNewLayout(b *testing.B) {
+	g, err := gen.PowerLaw(gen.TwitterLike(50000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewLayout(g, 16, Random{}, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkLayoutOblivious(b *testing.B) {
 	g := testGraph(b, 20000, 1)
 	b.ResetTimer()

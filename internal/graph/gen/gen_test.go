@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/graph"
@@ -89,6 +91,27 @@ func TestPowerLawDeterministic(t *testing.T) {
 		if same {
 			t.Fatal("different seeds produced identical graphs")
 		}
+	}
+}
+
+// TestPowerLawGolden pins the exact edge list of a twitter-like graph.
+// Cached references (exact PageRank, generated inputs) are keyed by the
+// generator's parameters alone, so the draw sequence must never change.
+func TestPowerLawGolden(t *testing.T) {
+	g, err := PowerLaw(TwitterLike(5000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, e := range g.EdgeSlice() {
+		binary.LittleEndian.PutUint32(buf[:4], e.Src)
+		binary.LittleEndian.PutUint32(buf[4:], e.Dst)
+		h.Write(buf[:])
+	}
+	const wantEdges, wantDigest = 125420, 0xd205a3449a6cc60b
+	if g.NumEdges() != wantEdges || h.Sum64() != wantDigest {
+		t.Errorf("edges %d digest %#x, want %d %#x", g.NumEdges(), h.Sum64(), wantEdges, uint64(wantDigest))
 	}
 }
 
@@ -239,5 +262,16 @@ func TestPowerLawDegreeTail(t *testing.T) {
 	}
 	if ratio > 0.6 {
 		t.Errorf("tail not decaying: ratio = %v", ratio)
+	}
+}
+
+// BenchmarkPowerLaw generates the 50k-vertex twitter-like graph that the
+// serving benchmarks and examples use.
+func BenchmarkPowerLaw(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := PowerLaw(TwitterLike(50000, 1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
