@@ -423,3 +423,23 @@ func TestMachineCountBounds(t *testing.T) {
 		t.Error("too many machines should error")
 	}
 }
+
+// badPlacement puts every edge on a machine beyond the cluster.
+type badPlacement struct{}
+
+func (badPlacement) Name() string { return "bad" }
+
+func (badPlacement) Place(g *graph.Graph, machines int, _ uint64) []uint16 {
+	out := make([]uint16, g.NumEdges())
+	for i := range out {
+		out[i] = uint16(machines)
+	}
+	return out
+}
+
+func TestLayoutRejectsOutOfRangePlacement(t *testing.T) {
+	g := testGraph(t, 50, 14)
+	if _, err := NewLayout(g, 4, badPlacement{}, 1); err == nil {
+		t.Error("placement on machine 4 of 4 should error")
+	}
+}

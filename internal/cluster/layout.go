@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -12,6 +12,13 @@ import (
 // edge→machine assignment, the per-vertex replica (presence) sets, the
 // master replica of every vertex, and per-machine local sub-graphs in
 // CSR form. It is immutable once built and shared by all engine runs.
+//
+// All indexes are dense arrays. Vertex v's replicas occupy the slots
+// presOff[v]:presOff[v+1] of presList (the machine) and presLocal (v's
+// local index on that machine), so a MachineView answers LocalIndex
+// from v's own slots. The indexes take O(n + Σ replicas) memory,
+// independent of the machine count, and the local CSRs take
+// O(Σ replicas + edges).
 type Layout struct {
 	g           *graph.Graph
 	machines    int
@@ -19,10 +26,12 @@ type Layout struct {
 
 	master []uint16 // master machine per vertex
 
-	// presence lists: machines hosting v are
-	// presList[presOff[v]:presOff[v+1]], master first.
-	presOff  []int64
-	presList []uint16
+	// presence slots of v: presOff[v]:presOff[v+1]. presList holds the
+	// machines, master first and mirrors ascending; presLocal holds v's
+	// local index on each of them.
+	presOff   []int64
+	presList  []uint16
+	presLocal []int32
 
 	views []MachineView
 }
@@ -32,12 +41,10 @@ type Layout struct {
 // form. Engine goroutines operate on views concurrently; views are
 // read-only after construction.
 type MachineView struct {
-	id int
+	id  int
+	lay *Layout // LocalIndex reads the layout's presence slots
 
-	// verts lists present vertices in ascending order; localIdx inverts
-	// it.
-	verts    []uint32
-	localIdx map[uint32]int32
+	verts []uint32 // present vertices, ascending; position = local index
 
 	outOff []int64
 	outAdj []uint32
@@ -69,19 +76,33 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 	n := g.NumVertices()
 	lay := &Layout{g: g, machines: machines, partitioner: p.Name()}
 
-	// Pass 1: per-machine edge counts and per-(vertex,machine) presence.
-	perMachineEdges := make([]int64, machines)
+	// Bucket the edges by machine with a counting sort that keeps CSR
+	// order inside each bucket, and record per-(vertex,machine)
+	// presence.
+	bucketOff := make([]int64, machines+1)
+	for _, m := range placement {
+		if int(m) >= machines {
+			return nil, fmt.Errorf("cluster: partitioner %s placed an edge on machine %d of %d",
+				p.Name(), m, machines)
+		}
+		bucketOff[m+1]++
+	}
+	for m := 0; m < machines; m++ {
+		bucketOff[m+1] += bucketOff[m]
+	}
+	src := make([]uint32, len(placement))
+	dst := make([]uint32, len(placement))
+	fill := append([]int64(nil), bucketOff[:machines]...)
 	presBits := newPresenceSet(n, machines)
 	{
 		i := 0
 		g.Edges(func(e graph.Edge) bool {
-			m := int(placement[i])
-			if m >= machines {
-				panic(fmt.Sprintf("cluster: placement %d out of range", m))
-			}
-			perMachineEdges[m]++
-			presBits.set(e.Src, m)
-			presBits.set(e.Dst, m)
+			m := placement[i]
+			k := fill[m]
+			fill[m]++
+			src[k], dst[k] = e.Src, e.Dst
+			presBits.set(e.Src, int(m))
+			presBits.set(e.Dst, int(m))
 			i++
 			return true
 		})
@@ -96,6 +117,8 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 	}
 	lay.presList = make([]uint16, lay.presOff[n])
 	lay.master = make([]uint16, n)
+	numVerts := make([]int, machines)
+	numMasters := make([]int, machines)
 	for v := 0; v < n; v++ {
 		span := lay.presList[lay.presOff[v]:lay.presOff[v+1]]
 		presBits.collect(graph.VertexID(v), span)
@@ -106,77 +129,77 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 			continue
 		}
 		pick := int(hash64(uint64(v)^(seed*0x2545f4914f6cdd1d)) % uint64(len(span)))
-		span[0], span[pick] = span[pick], span[0]
-		// Keep mirrors in ascending order after the master for
-		// deterministic iteration.
-		sort.Slice(span[1:], func(i, j int) bool { return span[1+i] < span[1+j] })
-		lay.master[v] = span[0]
+		// collect yields machines ascending, so rotating the master to
+		// the front leaves the mirrors ascending behind it.
+		master := span[pick]
+		copy(span[1:pick+1], span[:pick])
+		span[0] = master
+		lay.master[v] = master
+		numMasters[master]++
+		for _, m := range span {
+			numVerts[m]++
+		}
 	}
 
-	// Pass 2: build per-machine local CSRs.
+	// Per-machine vertex and master lists, both ascending, and the local
+	// index of every presence slot.
 	lay.views = make([]MachineView, machines)
-	type mb struct {
-		outCnt map[uint32]int64
-		inCnt  map[uint32]int64
-	}
-	builders := make([]mb, machines)
-	for m := range builders {
-		builders[m] = mb{outCnt: map[uint32]int64{}, inCnt: map[uint32]int64{}}
-	}
-	{
-		i := 0
-		g.Edges(func(e graph.Edge) bool {
-			b := &builders[placement[i]]
-			b.outCnt[e.Src]++
-			b.inCnt[e.Dst]++
-			i++
-			return true
-		})
-	}
-	for m := 0; m < machines; m++ {
-		view := &lay.views[m]
-		view.id = m
-		// Present vertices on m, ascending.
-		view.verts = presBits.machineVerts(m)
-		view.localIdx = make(map[uint32]int32, len(view.verts))
-		view.outOff = make([]int64, len(view.verts)+1)
-		view.inOff = make([]int64, len(view.verts)+1)
-		for li, v := range view.verts {
-			view.localIdx[v] = int32(li)
-			view.outOff[li+1] = view.outOff[li] + builders[m].outCnt[v]
-			view.inOff[li+1] = view.inOff[li] + builders[m].inCnt[v]
+	for m := range lay.views {
+		lay.views[m] = MachineView{
+			id:      m,
+			lay:     lay,
+			verts:   make([]uint32, 0, numVerts[m]),
+			masters: make([]uint32, 0, numMasters[m]),
 		}
-		view.outAdj = make([]uint32, view.outOff[len(view.verts)])
-		view.inAdj = make([]uint32, view.inOff[len(view.verts)])
 	}
-	outPos := make([][]int64, machines)
-	inPos := make([][]int64, machines)
-	for m := 0; m < machines; m++ {
-		outPos[m] = append([]int64(nil), lay.views[m].outOff[:len(lay.views[m].verts)]...)
-		inPos[m] = append([]int64(nil), lay.views[m].inOff[:len(lay.views[m].verts)]...)
-	}
-	{
-		i := 0
-		g.Edges(func(e graph.Edge) bool {
-			m := int(placement[i])
-			view := &lay.views[m]
-			ls := view.localIdx[e.Src]
-			ld := view.localIdx[e.Dst]
-			view.outAdj[outPos[m][ls]] = e.Dst
-			outPos[m][ls]++
-			view.inAdj[inPos[m][ld]] = e.Src
-			inPos[m][ld]++
-			i++
-			return true
-		})
-	}
-	// Master vertex lists per machine.
+	lay.presLocal = make([]int32, len(lay.presList))
 	for v := 0; v < n; v++ {
-		if lay.presOff[v+1] == lay.presOff[v] {
+		lo, hi := lay.presOff[v], lay.presOff[v+1]
+		if lo == hi {
 			continue // isolated vertex: no machine hosts it
 		}
-		m := lay.master[v]
-		lay.views[m].masters = append(lay.views[m].masters, uint32(v))
+		home := &lay.views[lay.presList[lo]]
+		home.masters = append(home.masters, uint32(v))
+		for j := lo; j < hi; j++ {
+			view := &lay.views[lay.presList[j]]
+			lay.presLocal[j] = int32(len(view.verts))
+			view.verts = append(view.verts, uint32(v))
+		}
+	}
+
+	// Local CSRs from each machine's bucket. Local indexes ascend with
+	// global ids and buckets are in CSR order, so the bucket's
+	// destinations already are the local out-adjacency; the
+	// in-adjacency is a stable counting sort of the bucket by local
+	// destination.
+	toLocal := make([]int32, n) // global→local scratch, valid for the current view's vertices
+	inAdj := make([]uint32, len(placement))
+	var pos []int64
+	for m := range lay.views {
+		view := &lay.views[m]
+		for li, v := range view.verts {
+			toLocal[v] = int32(li)
+		}
+		lo, hi := bucketOff[m], bucketOff[m+1]
+		nv := len(view.verts)
+		view.outOff = make([]int64, nv+1)
+		view.inOff = make([]int64, nv+1)
+		for k := lo; k < hi; k++ {
+			view.outOff[toLocal[src[k]]+1]++
+			view.inOff[toLocal[dst[k]]+1]++
+		}
+		for li := 0; li < nv; li++ {
+			view.outOff[li+1] += view.outOff[li]
+			view.inOff[li+1] += view.inOff[li]
+		}
+		view.outAdj = dst[lo:hi:hi]
+		view.inAdj = inAdj[lo:hi:hi]
+		pos = append(pos[:0], view.inOff[:nv]...)
+		for k := lo; k < hi; k++ {
+			ld := toLocal[dst[k]]
+			view.inAdj[pos[ld]] = src[k]
+			pos[ld]++
+		}
 	}
 	return lay, nil
 }
@@ -250,26 +273,6 @@ func (p *presenceSet) collect(v graph.VertexID, dst []uint16) {
 			w &= w - 1
 		}
 	}
-}
-
-// machineVerts returns the ascending list of vertices present on m.
-func (p *presenceSet) machineVerts(m int) []uint32 {
-	var out []uint32
-	if p.small != nil {
-		bit := uint64(1) << uint(m)
-		for v, w := range p.small {
-			if w&bit != 0 {
-				out = append(out, uint32(v))
-			}
-		}
-		return out
-	}
-	for v, ws := range p.big {
-		if ws != nil && ws[m/64]&(1<<uint(m%64)) != 0 {
-			out = append(out, uint32(v))
-		}
-	}
-	return out
 }
 
 func popcount(x uint64) int      { return bits.OnesCount64(x) }
@@ -361,7 +364,7 @@ func (l *Layout) Validate() error {
 			return fmt.Errorf("cluster: machine %d out/in edge mismatch", m)
 		}
 		for li, vert := range v.verts {
-			if got := v.localIdx[vert]; got != int32(li) {
+			if got, ok := v.LocalIndex(vert); !ok || got != int32(li) {
 				return fmt.Errorf("cluster: machine %d local index broken at %d", m, vert)
 			}
 		}
@@ -386,7 +389,7 @@ func (l *Layout) Validate() error {
 				return fmt.Errorf("cluster: vertex %d duplicated presence on %d", v, m)
 			}
 			seen[m] = true
-			if _, ok := l.views[m].localIdx[uint32(v)]; !ok {
+			if _, ok := l.views[m].LocalIndex(graph.VertexID(v)); !ok {
 				return fmt.Errorf("cluster: vertex %d listed on machine %d but absent from view", v, m)
 			}
 		}
@@ -419,10 +422,22 @@ func (mv *MachineView) Verts() []uint32 { return mv.verts }
 func (mv *MachineView) NumLocalEdges() int64 { return int64(len(mv.outAdj)) }
 
 // LocalIndex returns the machine-local dense index of v and whether v
-// is present on this machine.
+// is present on this machine. It searches v's presence slots: the
+// master first, then the ascending mirrors.
 func (mv *MachineView) LocalIndex(v graph.VertexID) (int32, bool) {
-	li, ok := mv.localIdx[v]
-	return li, ok
+	l := mv.lay
+	lo, hi := l.presOff[v], l.presOff[v+1]
+	if lo == hi {
+		return 0, false
+	}
+	id := uint16(mv.id)
+	if l.presList[lo] == id {
+		return l.presLocal[lo], true
+	}
+	if j, ok := slices.BinarySearch(l.presList[lo+1:hi], id); ok {
+		return l.presLocal[lo+1+int64(j)], true
+	}
+	return 0, false
 }
 
 // OutNeighborsLocal returns the destinations of the machine's local

@@ -88,12 +88,14 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	table := rng.NewAliasTable(permuted)
 
 	edges := make([]graph.Edge, 0, m)
-	seen := make(map[uint32]struct{}, 64)
+	// mark[d] == v+1 iff v already has an edge to d: a per-source stamp
+	// that needs no clearing between sources.
+	mark := make([]uint32, cfg.N)
 	for v := 0; v < cfg.N; v++ {
-		clear(seen)
+		stamp := uint32(v) + 1
 		want := degs[v]
 		attempts := 0
-		for len(seen) < want {
+		for got := 0; got < want; {
 			d := uint32(table.Sample(r))
 			attempts++
 			if attempts > 20*want+100 {
@@ -104,10 +106,11 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 			if int(d) == v {
 				continue
 			}
-			if _, dup := seen[d]; dup {
+			if mark[d] == stamp {
 				continue
 			}
-			seen[d] = struct{}{}
+			mark[d] = stamp
+			got++
 			edges = append(edges, graph.Edge{Src: uint32(v), Dst: d})
 		}
 	}
