@@ -1,19 +1,28 @@
-// Package pcache is a buffer-pool-style page cache over a file: fixed
-// PageSize pages read on demand through an io.ReaderAt, held in a
-// bounded set of frames with pin counts and CLOCK eviction. It is the
-// storage engine under gstore's paged open (graphs bigger than RAM):
-// the resident budget bounds how much of the adjacency ever lives in
-// memory at once, and walk-shaped random access hits the pool instead
-// of thrashing an mmap the kernel cannot be told the budget for.
+// Package pcache is a buffer pool over a file: fixed PageSize pages
+// read on demand through an io.ReaderAt into a bounded set of frames,
+// with pin counts and CLOCK eviction. It is the storage engine under
+// gstore's paged open (graphs bigger than RAM): the resident budget
+// bounds how much of the adjacency ever lives in memory at once, and
+// walk-shaped random access hits the pool instead of thrashing an mmap
+// the kernel cannot be told the budget for.
 //
-// Concurrency model: the page table and CLOCK state live under one
-// mutex, but I/O never does — a miss inserts a loading frame (pinned,
-// so it cannot be evicted) and releases the lock before ReadAt;
-// concurrent requests for the same page pin the same frame and block
-// on its ready channel. A frame with pins > 0 is never evicted. When
-// every frame is pinned the pool admits overflow frames beyond the
-// budget rather than deadlock; the overflow drains on the next misses
-// once pins release.
+// A budget of B bytes buys B/PageSize frames (at least minFrames).
+// Frame buffers are recycled: an evicted frame's buffer goes on a free
+// list and the next miss reads into it, so a pool at steady state
+// allocates no page memory per miss. The free list never lets the pool
+// own more buffers than its budget's frames; buffers of overflow
+// frames (below) go back to the GC as the overflow drains.
+//
+// Concurrency model: the page table, the CLOCK ring and the free list
+// live under one mutex, but I/O never does — a miss inserts a loading
+// frame (pinned, so it cannot be evicted) and releases the lock before
+// ReadAt; concurrent requests for the same page pin the same frame and
+// block on its ready channel until the load finishes, after which an
+// atomic flag lets hits skip the channel. A frame with pins > 0 is
+// never evicted, so a pinned view's buffer is never recycled under its
+// reader. When every frame is pinned the pool admits overflow frames
+// beyond the budget rather than deadlock; the overflow drains on the
+// next misses or as soon as pins release.
 package pcache
 
 import (
@@ -28,10 +37,13 @@ import (
 
 // PageSize is the pool's fixed page size. fwtool's per-section page
 // counts use the same constant (pinned by a test), so the two can
-// never drift. 64 KiB: big enough that one hot vertex's row rarely
-// spans pages, small enough that a few-MiB budget still holds dozens
-// of frames.
-const PageSize = 1 << 16
+// never drift. 4 KiB is the OS page size, and small pages spend a
+// budget on hot data only: rows are stored degree-descending, so the
+// rows walks funnel through share a few pages, and a large page would
+// drag cold neighbours of one hot row into memory with it. A row that
+// spans pages costs one extra pin (gstore's cursor reads ranges page
+// by page), which a walk step — one element — never pays.
+const PageSize = 1 << 12
 
 // minFrames is the resident floor: below this a pool cannot make
 // progress under concurrent pinning without constant overflow churn.
@@ -63,19 +75,22 @@ type Pool struct {
 	frames map[int64]*frame
 	clock  []*frame // resident ring; hand sweeps for victims
 	hand   int
-	pinned int // frames with pins > 0
+	pinned int      // frames with pins > 0
+	free   [][]byte // PageSize buffers of evicted frames, ready for reuse
 }
 
-// frame is one resident page. pins, ref and the clock membership are
-// guarded by the pool mutex; data and err are written once before
-// ready closes and are read-only afterwards.
+// frame is one resident page. pins, ref and slot are guarded by the
+// pool mutex; data and err are written once before loaded is set (on
+// success) and ready closes, and are read-only afterwards.
 type frame struct {
-	page  int64
-	pins  int
-	ref   bool
-	data  []byte
-	err   error
-	ready chan struct{}
+	page   int64
+	slot   int // index in the pool's clock ring
+	pins   int
+	ref    bool
+	loaded atomic.Bool
+	data   []byte
+	err    error
+	ready  chan struct{}
 }
 
 // New builds a pool over src (size bytes long) with a resident budget
@@ -128,19 +143,24 @@ func (p *Pool) pin(page int64) (*frame, error) {
 		f.pins++
 		f.ref = true
 		p.mu.Unlock()
-		<-f.ready
-		if f.err != nil {
-			p.unpin(f)
-			return nil, f.err
+		if !f.loaded.Load() {
+			<-f.ready
+			if f.err != nil {
+				p.unpin(f)
+				return nil, f.err
+			}
 		}
 		p.hits.Add(1)
 		return f, nil
 	}
-	f := &frame{page: page, pins: 1, ref: true, ready: make(chan struct{})}
+	// Make room first, so the victim's buffer is on the free list for
+	// this miss to take.
+	p.evictLocked(p.max - 1)
+	buf := p.takeBufLocked()
+	f := &frame{page: page, slot: len(p.clock), pins: 1, ref: true, ready: make(chan struct{})}
 	p.frames[page] = f
 	p.clock = append(p.clock, f)
 	p.pinned++
-	p.evictLocked()
 	p.mu.Unlock()
 
 	p.misses.Add(1)
@@ -148,22 +168,25 @@ func (p *Pool) pin(page int64) (*frame, error) {
 	if rest := p.size - page*PageSize; rest < int64(n) {
 		n = int(rest)
 	}
-	buf := alignedBytes(n)
-	_, err := io.ReadFull(io.NewSectionReader(p.src, page*PageSize, int64(n)), buf)
-	if err != nil {
-		f.err = fmt.Errorf("pcache: reading page %d: %w", page, err)
-	} else {
-		f.data = buf
+	if buf == nil {
+		buf = alignedBytes(PageSize)
 	}
-	close(f.ready)
-	if f.err != nil {
+	// ReadAt may report io.EOF alongside a full read of the last page;
+	// only a short read is a failure (and always carries an error).
+	if got, err := p.src.ReadAt(buf[:n], page*PageSize); got < n {
+		f.err = fmt.Errorf("pcache: reading page %d: %w", page, err)
+		close(f.ready)
 		// Drop the failed frame so a later pin retries the read.
 		p.mu.Lock()
 		p.dropLocked(f)
+		p.releaseBufLocked(buf)
 		p.unpinLocked(f)
 		p.mu.Unlock()
 		return nil, f.err
 	}
+	f.data = buf[:n]
+	f.loaded.Store(true)
+	close(f.ready)
 	return f, nil
 }
 
@@ -181,35 +204,54 @@ func (p *Pool) unpinLocked(f *frame) {
 		// Drain pin-overflow promptly: a hit-only workload would
 		// otherwise never trigger the miss-path sweep.
 		if len(p.clock) > p.max {
-			p.evictLocked()
+			p.evictLocked(p.max)
 		}
 	}
 }
 
-// dropLocked removes f from the page table and the clock ring.
+// dropLocked removes f from the page table and the clock ring in O(1):
+// the ring's last frame moves into f's slot.
 func (p *Pool) dropLocked(f *frame) {
 	delete(p.frames, f.page)
-	for i, c := range p.clock {
-		if c == f {
-			last := len(p.clock) - 1
-			p.clock[i] = p.clock[last]
-			p.clock = p.clock[:last]
-			if p.hand > i {
-				p.hand--
-			}
-			if p.hand >= len(p.clock) {
-				p.hand = 0
-			}
-			return
-		}
+	last := len(p.clock) - 1
+	moved := p.clock[last]
+	p.clock[f.slot] = moved
+	moved.slot = f.slot
+	p.clock[last] = nil
+	p.clock = p.clock[:last]
+	f.slot = -1
+	if p.hand >= len(p.clock) {
+		p.hand = 0
 	}
 }
 
-// evictLocked runs the CLOCK sweep until the ring is back within
-// budget or every remaining frame is pinned (overflow is tolerated —
+// takeBufLocked pops a recycled page buffer, or returns nil when the
+// free list is empty.
+func (p *Pool) takeBufLocked() []byte {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	buf := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return buf
+}
+
+// releaseBufLocked puts a frame's buffer on the free list unless the
+// ring and the list together already account for the whole budget —
+// an overflow frame's buffer goes back to the GC instead.
+func (p *Pool) releaseBufLocked(buf []byte) {
+	if len(p.clock)+len(p.free) < p.max {
+		p.free = append(p.free, buf[:cap(buf)])
+	}
+}
+
+// evictLocked runs the CLOCK sweep until the ring holds at most limit
+// frames or every remaining frame is pinned (overflow is tolerated —
 // the alternative is deadlock under heavy concurrent pinning).
-func (p *Pool) evictLocked() {
-	for len(p.clock) > p.max {
+func (p *Pool) evictLocked(limit int) {
+	for len(p.clock) > limit {
 		evicted := false
 		// Two sweeps: the first clears reference bits, the second takes
 		// the first unreferenced unpinned frame.
@@ -223,6 +265,7 @@ func (p *Pool) evictLocked() {
 					f.ref = false
 				} else {
 					p.dropLocked(f)
+					p.releaseBufLocked(f.data)
 					p.evictions.Add(1)
 					evicted = true
 					break

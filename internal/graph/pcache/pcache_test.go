@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -288,6 +289,244 @@ func TestParseBytes(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("ParseBytes(%q) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// checkRing verifies the pool's bookkeeping at a quiescent point: every
+// page-table entry sits in the clock ring at the slot it records, the
+// ring holds nothing else, and the free list holds full-size buffers
+// without letting the pool own more than its budget's frames.
+func checkRing(t *testing.T, p *Pool) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.frames) != len(p.clock) {
+		t.Fatalf("page table has %d frames, ring %d", len(p.frames), len(p.clock))
+	}
+	for page, f := range p.frames {
+		if f.page != page {
+			t.Fatalf("table key %d holds frame for page %d", page, f.page)
+		}
+		if f.slot < 0 || f.slot >= len(p.clock) || p.clock[f.slot] != f {
+			t.Fatalf("page %d records ring slot %d, not where it sits", page, f.slot)
+		}
+	}
+	if len(p.free) > 0 && len(p.clock)+len(p.free) > p.max {
+		t.Fatalf("ring %d + free %d exceeds budget %d", len(p.clock), len(p.free), p.max)
+	}
+	for i, b := range p.free {
+		if len(b) != PageSize {
+			t.Fatalf("free buffer %d is %d bytes, want %d", i, len(b), PageSize)
+		}
+	}
+}
+
+func TestRingSlotsConsistent(t *testing.T) {
+	// Rounds of concurrent random pin/unpin traffic over a pool a
+	// quarter the file's size. Some cursors keep their pin across the
+	// round boundary, so quiescent points see overflow and partial
+	// pinning too; every byte read must match the file throughout.
+	pages := int64(4 * minFrames)
+	size := pages*PageSize - 40 // short last page
+	data, src := testFile(size)
+	p := New(src, size, minFrames*PageSize)
+	const workers = 12
+	cursors := make([]*Cursor, workers)
+	for i := range cursors {
+		cursors[i] = p.NewCursor()
+	}
+	var fails atomic.Int32
+	for round := 0; round < 30; round++ {
+		var wg sync.WaitGroup
+		for w, c := range cursors {
+			wg.Add(1)
+			go func(w int, c *Cursor) {
+				defer wg.Done()
+				x := uint64(round*workers + w + 1)
+				for i := 0; i < 200; i++ {
+					x = x*6364136223846793005 + 1442695040888963407
+					page := int64(x>>33) % pages
+					got, err := c.View(page)
+					if err != nil {
+						fails.Add(1)
+						return
+					}
+					off := int(x % uint64(len(got)))
+					if got[off] != data[page*PageSize+int64(off)] {
+						fails.Add(1)
+						return
+					}
+					if x&3 == 0 {
+						c.Release()
+					}
+				}
+			}(w, c)
+		}
+		wg.Wait()
+		if fails.Load() != 0 {
+			t.Fatalf("round %d: %d goroutines saw bad reads", round, fails.Load())
+		}
+		checkRing(t, p)
+		if round%3 == 2 {
+			for _, c := range cursors {
+				c.Release()
+			}
+			checkRing(t, p)
+			if s := p.Stats(); s.PinnedPages != 0 || s.ResidentPages > s.BudgetPages {
+				t.Fatalf("round %d at rest: pinned %d, resident %d, budget %d",
+					round, s.PinnedPages, s.ResidentPages, s.BudgetPages)
+			}
+		}
+	}
+	if p.Stats().Evictions == 0 {
+		t.Fatal("traffic over 4x the budget evicted nothing")
+	}
+}
+
+func TestMissesReuseBuffers(t *testing.T) {
+	// A cyclic sweep over more pages than the pool holds misses on
+	// every page. Once the pool is full, each miss must read into an
+	// evicted frame's buffer rather than a fresh PageSize allocation.
+	pages := int64(4 * minFrames)
+	size := pages * PageSize
+	_, src := testFile(size)
+	p := New(src, size, minFrames*PageSize)
+	c := p.NewCursor()
+	defer c.Release()
+	page := int64(0)
+	view := func() {
+		if _, err := c.View(page); err != nil {
+			t.Fatal(err)
+		}
+		page = (page + 1) % pages
+	}
+	for i := int64(0); i < 2*pages; i++ {
+		view()
+	}
+	const misses = 1000
+	before := p.Stats().Misses
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < misses; i++ {
+		view()
+	}
+	runtime.ReadMemStats(&m1)
+	if got := p.Stats().Misses - before; got != misses {
+		t.Fatalf("sweep made %d misses, want %d", got, misses)
+	}
+	perMiss := float64(m1.TotalAlloc-m0.TotalAlloc) / misses
+	if perMiss > PageSize/8 {
+		t.Fatalf("%.0f bytes allocated per miss, want well under PageSize (%d)", perMiss, PageSize)
+	}
+	checkRing(t, p)
+}
+
+// failingReader fails reads at offset failAt (while it is >= 0) and
+// serves src otherwise.
+type failingReader struct {
+	src    io.ReaderAt
+	failAt atomic.Int64
+}
+
+func (f *failingReader) ReadAt(b []byte, off int64) (int, error) {
+	if off == f.failAt.Load() {
+		return 0, errors.New("injected read failure")
+	}
+	return f.src.ReadAt(b, off)
+}
+
+func TestReadErrorKeepsRing(t *testing.T) {
+	// Fill the pool, then fail a miss that had to evict (so it read
+	// into a recycled buffer): the failed frame must leave the table
+	// and the ring consistent, its buffer must stay reusable, and a
+	// later pin must retry the read.
+	pages := int64(4 * minFrames)
+	size := pages * PageSize
+	data, src := testFile(size)
+	r := &failingReader{src: src}
+	r.failAt.Store(-1)
+	p := New(r, size, minFrames*PageSize)
+	c := p.NewCursor()
+	defer c.Release()
+	for page := int64(0); page < minFrames; page++ {
+		if _, err := c.View(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Release()
+	checkRing(t, p)
+
+	bad := pages - 1
+	r.failAt.Store(bad * PageSize)
+	for try := 0; try < 3; try++ {
+		if _, err := c.View(bad); err == nil {
+			t.Fatal("View succeeded despite injected failure")
+		}
+		checkRing(t, p)
+		if s := p.Stats(); s.PinnedPages != 0 || s.ResidentPages > s.BudgetPages {
+			t.Fatalf("after failed read: pinned %d, resident %d, budget %d",
+				s.PinnedPages, s.ResidentPages, s.BudgetPages)
+		}
+	}
+	r.failAt.Store(-1)
+	got, err := c.View(bad)
+	if err != nil {
+		t.Fatalf("retry after injected failure: %v", err)
+	}
+	if !bytes.Equal(got, data[bad*PageSize:]) {
+		t.Fatal("retried page has wrong content")
+	}
+	// The pool keeps serving every page correctly afterwards.
+	for page := int64(0); page < pages; page++ {
+		got, err := c.View(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[page*PageSize:(page+1)*PageSize]) {
+			t.Fatalf("page %d has wrong content after the failure", page)
+		}
+	}
+	c.Release()
+	checkRing(t, p)
+}
+
+func BenchmarkPoolHit(b *testing.B) {
+	// Every page fits; alternating cursor views re-pin a resident page.
+	const pages = 64
+	size := int64(pages * PageSize)
+	_, src := testFile(size)
+	p := New(src, size, size)
+	c := p.NewCursor()
+	defer c.Release()
+	for page := int64(0); page < pages; page++ {
+		c.View(page)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.View(int64(i % pages)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPoolMiss(b *testing.B) {
+	// A cyclic sweep over 4x the budget: every view evicts and reads.
+	pages := int64(4 * minFrames)
+	size := pages * PageSize
+	_, src := testFile(size)
+	p := New(src, size, minFrames*PageSize)
+	c := p.NewCursor()
+	defer c.Release()
+	for page := int64(0); page < pages; page++ {
+		c.View(page)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.View(int64(i) % pages); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

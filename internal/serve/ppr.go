@@ -30,11 +30,13 @@ package serve
 //     per-source walk results.
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -421,11 +423,11 @@ func pprWalkSourcePaged(snap *Snapshot, key pprTaskKey, opts PPROptions) (map[gr
 	counts := make(map[graph.VertexID]int32, min(key.walks, 1024))
 
 	type walker struct {
-		stream *rng.Stream
+		stream rng.Stream
 		cur    graph.VertexID
 		left   int
 	}
-	active := make([]*walker, 0, key.walks)
+	active := make([]walker, 0, key.walks)
 	for w := 0; w < key.walks; w++ {
 		stream := rng.Derive(snap.Seed, pprPurpose, key.epoch, uint64(key.source), uint64(w))
 		steps := stream.Geometric(opts.Teleport)
@@ -436,11 +438,13 @@ func pprWalkSourcePaged(snap *Snapshot, key pprTaskKey, opts PPROptions) (map[gr
 			counts[key.source]++
 			continue
 		}
-		active = append(active, &walker{stream: stream, cur: key.source, left: steps})
+		active = append(active, walker{stream: *stream, cur: key.source, left: steps})
 	}
 
+	// pending is one walker's next step: wk indexes active, idx is the
+	// pre-drawn neighbor index and page the cache page it reads.
 	type pending struct {
-		wk   *walker
+		wk   int32
 		idx  int32
 		page int64
 	}
@@ -452,7 +456,8 @@ func pprWalkSourcePaged(snap *Snapshot, key pprTaskKey, opts PPROptions) (map[gr
 		// step order preserved), so the step's exact page is known
 		// before any page is touched.
 		batch = batch[:0]
-		for _, wk := range active {
+		for i := range active {
+			wk := &active[i]
 			deg := r.OutDegree(wk.cur)
 			if deg == 0 {
 				wk.cur = key.source // dangling restart: a step, no read
@@ -460,9 +465,9 @@ func pprWalkSourcePaged(snap *Snapshot, key pprTaskKey, opts PPROptions) (map[gr
 				continue
 			}
 			idx := wk.stream.Intn(deg)
-			batch = append(batch, pending{wk: wk, idx: int32(idx), page: r.OutPageAt(wk.cur, idx)})
+			batch = append(batch, pending{wk: int32(i), idx: int32(idx), page: r.OutPageAt(wk.cur, idx)})
 		}
-		sort.Slice(batch, func(i, j int) bool { return batch[i].page < batch[j].page })
+		slices.SortFunc(batch, func(a, b pending) int { return cmp.Compare(a.page, b.page) })
 		for _, p := range batch {
 			m.steps++
 			if p.page == lastPage {
@@ -470,7 +475,8 @@ func pprWalkSourcePaged(snap *Snapshot, key pprTaskKey, opts PPROptions) (map[gr
 			} else {
 				lastPage = p.page
 			}
-			p.wk.cur = r.OutAt(p.wk.cur, int(p.idx))
+			wk := &active[p.wk]
+			wk.cur = r.OutAt(wk.cur, int(p.idx))
 		}
 		retained := active[:0]
 		for _, wk := range active {

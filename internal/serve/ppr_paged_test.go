@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -163,5 +164,46 @@ func TestPagedPPRConcurrentEviction(t *testing.T) {
 		t.Fatal("paged executor recorded no walk steps")
 	} else if local := paged.ppr.batcher.local.Value(); local > steps {
 		t.Fatalf("page-local steps %d exceed total steps %d", local, steps)
+	}
+}
+
+// pprPagedSink keeps BenchmarkPPRPagedSource's tallies live.
+var pprPagedSink map[graph.VertexID]int32
+
+// BenchmarkPPRPagedSource is the ladder's paged adjacency-read layer:
+// one 2000-walk source per op through the page-batched executor, on a
+// relabeled gstore file opened paged at about a quarter of its size.
+// Sources cycle through 64 vertices, so the pool keeps missing on the
+// cold rows each one reaches.
+func BenchmarkPPRPagedSource(b *testing.B) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 100000, MeanOutDeg: 12, DegExponent: 2.1, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rg, err := gstore.Relabel(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "g.csr")
+	if err := gstore.Save(path, rg); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pg, err := gstore.Open(path, gstore.OpenOptions{Mem: st.Size() / 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pg.Close()
+	snap := &Snapshot{Epoch: 1, Seed: 11, Graph: pg}
+	opts := PPROptions{}.withDefaults()
+	n := pg.NumVertices()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := graph.VertexID((i % 64) * 7919 % n)
+		pprPagedSink, _ = pprWalkSource(snap, pprTaskKey{epoch: 1, source: src, walks: opts.WalksPerSource}, opts)
 	}
 }
